@@ -1,121 +1,32 @@
 #include "nn/autotune.hpp"
 
-#include <cctype>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/cpu_features.hpp"
+#include "obs/json.hpp"
+#include "obs/report.hpp"
 
 namespace scnn::nn {
 
-namespace {
-
-std::string json_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-/// Minimal scanner for the tune.json shape: one object of string/int/double
-/// members plus one array of flat entry objects. No escapes (no key or
-/// value here needs them). Errors always name the offending token.
-struct TuneJsonScanner {
-  std::string_view s;
-  std::size_t i = 0;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("TuneFile::from_json: " + what);
-  }
-  void skip_ws() {
-    while (i < s.size() &&
-           (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\r'))
-      ++i;
-  }
-  char peek() {
-    skip_ws();
-    if (i >= s.size()) fail("unexpected end of input");
-    return s[i];
-  }
-  void expect(char c) {
-    if (peek() != c)
-      fail(std::string("expected '") + c + "', got '" + s[i] + "' at offset " +
-           std::to_string(i));
-    ++i;
-  }
-  std::string parse_string() {
-    expect('"');
-    const std::size_t start = i;
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\') fail("escape sequences are not supported");
-      ++i;
-    }
-    if (i >= s.size()) fail("unterminated string");
-    return std::string(s.substr(start, i++ - start));
-  }
-  double parse_number() {
-    skip_ws();
-    const std::size_t start = i;
-    while (i < s.size() &&
-           (std::isdigit(static_cast<unsigned char>(s[i])) || s[i] == '-' ||
-            s[i] == '+' || s[i] == '.' || s[i] == 'e' || s[i] == 'E'))
-      ++i;
-    const std::string tok(s.substr(start, i - start));
-    if (tok.empty()) fail("expected a number at offset " + std::to_string(start));
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (end != tok.c_str() + tok.size()) fail("malformed number '" + tok + "'");
-    return v;
-  }
-  int parse_int() {
-    const double v = parse_number();
-    const int r = static_cast<int>(v);
-    if (static_cast<double>(r) != v) fail("expected an integer, got a fraction");
-    return r;
-  }
-
-  TuneEntry parse_entry() {
-    TuneEntry e;
-    expect('{');
-    if (peek() != '}') {
-      while (true) {
-        const std::string key = parse_string();
-        expect(':');
-        if (key == "backend") e.backend = parse_string();
-        else if (key == "tile") e.tile = parse_int();
-        else if (key == "threads") e.threads = parse_int();
-        else if (key == "imgs_per_s") e.imgs_per_s = parse_number();
-        else fail("unknown entry key \"" + key + "\"");
-        const char c = peek();
-        if (c == ',') { ++i; continue; }
-        if (c == '}') break;
-        fail(std::string("expected ',' or '}', got '") + c + "'");
-      }
-    }
-    expect('}');
-    return e;
-  }
-};
-
-}  // namespace
-
 std::string TuneFile::to_json() const {
+  using obs::detail::json_escape;
   std::string out = "{\n";
-  out += "  \"cpu_signature\": \"" + cpu_signature + "\",\n";
-  out += "  \"git_sha\": \"" + git_sha + "\",\n";
-  out += "  \"best_backend\": \"" + best_backend + "\",\n";
+  out += "  \"cpu_signature\": \"" + json_escape(cpu_signature) + "\",\n";
+  out += "  \"git_sha\": \"" + json_escape(git_sha) + "\",\n";
+  out += "  \"best_backend\": \"" + json_escape(best_backend) + "\",\n";
   out += "  \"best_tile\": " + std::to_string(best_tile) + ",\n";
   out += "  \"best_threads\": " + std::to_string(best_threads) + ",\n";
   out += "  \"entries\": [";
   for (std::size_t j = 0; j < entries.size(); ++j) {
     const TuneEntry& e = entries[j];
     out += (j == 0 ? "\n" : ",\n");
-    out += "    {\"backend\": \"" + e.backend +
+    out += "    {\"backend\": \"" + json_escape(e.backend) +
            "\", \"tile\": " + std::to_string(e.tile) +
            ", \"threads\": " + std::to_string(e.threads) +
-           ", \"imgs_per_s\": " + json_double(e.imgs_per_s) + "}";
+           ", \"imgs_per_s\": " + obs::detail::json_number(e.imgs_per_s) + "}";
   }
   out += entries.empty() ? "]\n" : "\n  ]\n";
   out += "}\n";
@@ -124,43 +35,30 @@ std::string TuneFile::to_json() const {
 
 TuneFile TuneFile::from_json(std::string_view json) {
   TuneFile tf;
-  TuneJsonScanner in{json};
-  in.expect('{');
-  if (in.peek() != '}') {
-    while (true) {
-      const std::string key = in.parse_string();
-      in.expect(':');
-      if (key == "cpu_signature") tf.cpu_signature = in.parse_string();
-      else if (key == "git_sha") tf.git_sha = in.parse_string();
-      else if (key == "best_backend") tf.best_backend = in.parse_string();
-      else if (key == "best_tile") tf.best_tile = in.parse_int();
-      else if (key == "best_threads") tf.best_threads = in.parse_int();
-      else if (key == "entries") {
-        in.expect('[');
-        if (in.peek() != ']') {
-          while (true) {
-            tf.entries.push_back(in.parse_entry());
-            const char c = in.peek();
-            if (c == ',') { ++in.i; continue; }
-            if (c == ']') break;
-            in.fail(std::string("expected ',' or ']', got '") + c + "'");
-          }
-        }
-        in.expect(']');
-      } else {
-        in.fail("unknown key \"" + key + "\"");
-      }
-      const char c = in.peek();
-      if (c == ',') { ++in.i; continue; }
-      if (c == '}') break;
-      in.fail(std::string("expected ',' or '}', got '") + c + "'");
+  obs::json::Reader in(json, "TuneFile::from_json");
+  in.object([&](const std::string& key) {
+    if (key == "cpu_signature") in.read(tf.cpu_signature);
+    else if (key == "git_sha") in.read(tf.git_sha);
+    else if (key == "best_backend") in.read(tf.best_backend);
+    else if (key == "best_tile") in.read(tf.best_tile);
+    else if (key == "best_threads") in.read(tf.best_threads);
+    else if (key == "entries") {
+      tf.entries.clear();
+      in.array([&] {
+        TuneEntry& e = tf.entries.emplace_back();
+        in.object([&](const std::string& field) {
+          if (field == "backend") in.read(e.backend);
+          else if (field == "tile") in.read(e.tile);
+          else if (field == "threads") in.read(e.threads);
+          else if (field == "imgs_per_s") in.read(e.imgs_per_s);
+          else in.unknown_key();
+        });
+      });
+    } else {
+      in.unknown_key();
     }
-  }
-  in.expect('}');
-  in.skip_ws();
-  if (in.i != json.size())
-    in.fail("trailing characters after object: '" +
-            std::string(json.substr(in.i)) + "'");
+  });
+  in.finish();
   return tf;
 }
 

@@ -8,6 +8,7 @@
 #include "common/fixed_point.hpp"
 #include "core/scmac.hpp"
 #include "nn/popcount_engine.hpp"
+#include "obs/json.hpp"
 #include "obs/report.hpp"
 
 namespace scnn::nn {
@@ -106,118 +107,27 @@ std::string EngineConfig::to_json() const {
          ",\"instrument\":" + (instrument ? "true" : "false") + "}";
 }
 
-namespace {
-
-/// Minimal scanner for the flat EngineConfig object — string, integer and
-/// boolean values only, no nesting, no escapes (no key or value here needs
-/// them). Errors always name the offending token.
-struct FlatJsonScanner {
-  std::string_view s;
-  std::size_t i = 0;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("EngineConfig::from_json: " + what);
-  }
-  void skip_ws() {
-    while (i < s.size() &&
-           (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\r'))
-      ++i;
-  }
-  char peek() {
-    skip_ws();
-    if (i >= s.size()) fail("unexpected end of input");
-    return s[i];
-  }
-  void expect(char c) {
-    if (peek() != c)
-      fail(std::string("expected '") + c + "', got '" + s[i] + "' at offset " +
-           std::to_string(i));
-    ++i;
-  }
-  std::string parse_string() {
-    expect('"');
-    const std::size_t start = i;
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\') fail("escape sequences are not supported");
-      ++i;
-    }
-    if (i >= s.size()) fail("unterminated string");
-    return std::string(s.substr(start, i++ - start));
-  }
-  int parse_int() {
-    skip_ws();
-    const std::size_t start = i;
-    if (i < s.size() && s[i] == '-') ++i;
-    while (i < s.size() && s[i] >= '0' && s[i] <= '9') ++i;
-    const std::string_view tok = s.substr(start, i - start);
-    if (tok.empty() || tok == "-")
-      fail("expected an integer at offset " + std::to_string(start));
-    try {
-      return std::stoi(std::string(tok));
-    } catch (const std::out_of_range&) {
-      fail("integer '" + std::string(tok) + "' out of int range");
-    }
-  }
-  bool parse_bool() {
-    skip_ws();
-    if (s.substr(i, 4) == "true") {
-      i += 4;
-      return true;
-    }
-    if (s.substr(i, 5) == "false") {
-      i += 5;
-      return false;
-    }
-    fail("expected true or false at offset " + std::to_string(i));
-  }
-};
-
-}  // namespace
-
 EngineConfig EngineConfig::from_json(std::string_view json) {
+  obs::json::Reader in(json, "EngineConfig::from_json");
+  EngineConfig cfg = from_json(in);
+  in.finish();
+  return cfg;
+}
+
+EngineConfig EngineConfig::from_json(obs::json::Reader& in) {
   EngineConfig cfg;
-  FlatJsonScanner in{json};
-  in.expect('{');
-  if (in.peek() != '}') {
-    while (true) {
-      const std::string key = in.parse_string();
-      in.expect(':');
-      if (key == "kind") {
-        cfg.kind = engine_kind_from_string(in.parse_string());
-      } else if (key == "backend") {
-        cfg.backend = mac_backend_from_string(in.parse_string());
-      } else if (key == "sparsity") {
-        cfg.sparsity = sparsity_from_string(in.parse_string());
-      } else if (key == "n_bits") {
-        cfg.n_bits = in.parse_int();
-      } else if (key == "accum_bits") {
-        cfg.accum_bits = in.parse_int();
-      } else if (key == "bit_parallel") {
-        cfg.bit_parallel = in.parse_int();
-      } else if (key == "threads") {
-        cfg.threads = in.parse_int();
-      } else if (key == "im2col_tile") {
-        cfg.im2col_tile = in.parse_int();
-      } else if (key == "instrument") {
-        cfg.instrument = in.parse_bool();
-      } else {
-        in.fail("unknown key \"" + key + "\"");
-      }
-      const char c = in.peek();
-      if (c == ',') {
-        ++in.i;
-        continue;
-      }
-      if (c == '}') break;
-      in.fail(std::string("expected ',' or '}', got '") + c + "' at offset " +
-              std::to_string(in.i));
-    }
-  }
-  in.expect('}');
-  in.skip_ws();
-  if (in.i != json.size())
-    in.fail("trailing characters after object: '" +
-            std::string(json.substr(in.i)) + "'");
+  in.object([&](const std::string& key) {
+    if (key == "kind") cfg.kind = in.read_as(engine_kind_from_string);
+    else if (key == "backend") cfg.backend = in.read_as(mac_backend_from_string);
+    else if (key == "sparsity") cfg.sparsity = in.read_as(sparsity_from_string);
+    else if (key == "n_bits") in.read(cfg.n_bits);
+    else if (key == "accum_bits") in.read(cfg.accum_bits);
+    else if (key == "bit_parallel") in.read(cfg.bit_parallel);
+    else if (key == "threads") in.read(cfg.threads);
+    else if (key == "im2col_tile") in.read(cfg.im2col_tile);
+    else if (key == "instrument") in.read(cfg.instrument);
+    else in.unknown_key();
+  });
   return cfg;
 }
 

@@ -32,6 +32,10 @@
 #include "obs/metrics.hpp"
 #include "sc/mult_lut.hpp"
 
+namespace scnn::obs::json {
+class Reader;
+}
+
 namespace scnn::obs {
 class JsonReport;
 }
@@ -119,9 +123,12 @@ struct EngineConfig {
   [[nodiscard]] std::string to_json() const;
   /// Inverse of to_json(): accepts the same flat object with any key order
   /// and whitespace; absent keys keep their defaults. Throws
-  /// std::invalid_argument naming the offending token on anything
-  /// malformed or unknown. Does not range-check — call validate().
+  /// std::invalid_argument naming the offending token, key and offset on
+  /// anything malformed or unknown, and on an integer that does not fit its
+  /// field. Does not range-check beyond that — call validate().
   [[nodiscard]] static EngineConfig from_json(std::string_view json);
+  /// The same object read in place at `in`'s cursor (a nested "engine").
+  [[nodiscard]] static EngineConfig from_json(obs::json::Reader& in);
 
   bool operator==(const EngineConfig&) const = default;
 };

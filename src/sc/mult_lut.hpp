@@ -76,9 +76,10 @@ class ProductLut {
   std::vector<std::int16_t> table_;
 };
 
-/// Fixed-point binary multiplier: full product truncated (arithmetic shift,
-/// i.e. toward -inf) to the accumulator scale before accumulation — the
-/// paper's "multiplication result is truncated before accumulation".
+/// Fixed-point binary multiplier: full product truncated toward zero
+/// (sign-magnitude, not an arithmetic shift) to the accumulator scale before
+/// accumulation — the paper's "multiplication result is truncated before
+/// accumulation".
 ProductLut make_fixed_point_lut(int n_bits);
 
 /// Conventional bipolar SC multiplier over full 2^N-cycle streams from two

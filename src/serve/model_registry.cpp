@@ -3,7 +3,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "serve/json_scan.hpp"
+#include "obs/json.hpp"
+#include "obs/report.hpp"
 
 namespace scnn::serve {
 
@@ -52,45 +53,29 @@ void TenantOptions::validate() const {
 }
 
 std::string TenantOptions::to_json() const {
-  std::string out = "{\"name\":\"" + name + "\",\"checkpoint\":\"" +
-                    checkpoint + "\",\"shards\":" + std::to_string(shards);
+  std::string out = "{\"name\":\"" + obs::detail::json_escape(name) +
+                    "\",\"checkpoint\":\"" + obs::detail::json_escape(checkpoint) +
+                    "\",\"shards\":" + std::to_string(shards);
   if (engine) out += ",\"engine\":" + engine->to_json();
   return out + "}";
 }
 
 TenantOptions TenantOptions::from_json(std::string_view json) {
+  obs::json::Reader in(json, "TenantOptions::from_json");
+  TenantOptions opts = from_json(in);
+  in.finish();
+  return opts;
+}
+
+TenantOptions TenantOptions::from_json(obs::json::Reader& in) {
   TenantOptions opts;
-  detail::JsonScanner in{json, 0, "TenantOptions"};
-  in.expect('{');
-  if (in.peek() != '}') {
-    while (true) {
-      const std::string key = in.parse_string();
-      in.expect(':');
-      if (key == "name") {
-        opts.name = in.parse_string();
-      } else if (key == "checkpoint") {
-        opts.checkpoint = in.parse_string();
-      } else if (key == "shards") {
-        opts.shards = static_cast<int>(in.parse_int());
-      } else if (key == "engine") {
-        opts.engine = nn::EngineConfig::from_json(in.capture_object());
-      } else {
-        in.fail("unknown key \"" + key + "\"");
-      }
-      const char c = in.peek();
-      if (c == ',') {
-        ++in.i;
-        continue;
-      }
-      if (c == '}') break;
-      in.fail(std::string("expected ',' or '}', got '") + c + "' at offset " +
-              std::to_string(in.i));
-    }
-  }
-  in.expect('}');
-  if (!in.at_end())
-    in.fail("trailing characters after object: '" +
-            std::string(json.substr(in.i)) + "'");
+  in.object([&](const std::string& key) {
+    if (key == "name") in.read(opts.name);
+    else if (key == "checkpoint") in.read(opts.checkpoint);
+    else if (key == "shards") in.read(opts.shards);
+    else if (key == "engine") opts.engine = nn::EngineConfig::from_json(in);
+    else in.unknown_key();
+  });
   return opts;
 }
 

@@ -67,9 +67,11 @@ struct TenantOptions {
 
   void validate() const;
   [[nodiscard]] std::string to_json() const;
-  /// Parses the flat object to_json() emits (engine delegated to
-  /// nn::EngineConfig::from_json). Errors name the offending token.
+  /// Parses the object to_json() emits. Errors name the offending token,
+  /// key and offset; an integer that does not fit its field is an error.
   static TenantOptions from_json(std::string_view json);
+  /// The same object read in place at `in`'s cursor (a "tenants" element).
+  static TenantOptions from_json(obs::json::Reader& in);
 };
 
 /// Everything needed to stand up one tenant's shard pool.

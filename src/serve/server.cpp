@@ -7,7 +7,8 @@
 #include <utility>
 
 #include "common/mpmc_ring.hpp"
-#include "serve/json_scan.hpp"
+#include "obs/json.hpp"
+#include "obs/report.hpp"
 
 namespace scnn::serve {
 
@@ -157,7 +158,8 @@ std::string ServerOptions::to_json() const {
       ",\"flight_recorder\":" + (flight_recorder ? "true" : "false") +
       ",\"flight_capacity\":" + std::to_string(flight_capacity) +
       ",\"reject_burst\":" + std::to_string(reject_burst) +
-      ",\"flight_dump_prefix\":\"" + flight_dump_prefix + "\"";
+      ",\"flight_dump_prefix\":\"" + obs::detail::json_escape(flight_dump_prefix) +
+      "\"";
   if (engine) out += ",\"engine\":" + engine->to_json();
   out += ",\"tenants\":[";
   for (std::size_t i = 0; i < tenants.size(); ++i) {
@@ -169,74 +171,30 @@ std::string ServerOptions::to_json() const {
 
 ServerOptions ServerOptions::from_json(std::string_view json) {
   ServerOptions opts;
-  detail::JsonScanner in{json, 0, "ServerOptions"};
-  in.expect('{');
-  if (in.peek() != '}') {
-    while (true) {
-      const std::string key = in.parse_string();
-      in.expect(':');
-      if (key == "workers") {
-        opts.workers = static_cast<int>(in.parse_int());
-      } else if (key == "session_threads") {
-        opts.session_threads = static_cast<int>(in.parse_int());
-      } else if (key == "max_batch") {
-        opts.max_batch = static_cast<int>(in.parse_int());
-      } else if (key == "max_delay_us") {
-        opts.max_delay_us = static_cast<int>(in.parse_int());
-      } else if (key == "queue_capacity") {
-        opts.queue_capacity = static_cast<int>(in.parse_int());
-      } else if (key == "queue_kind") {
-        opts.queue_kind = queue_kind_from_string(in.parse_string());
-      } else if (key == "default_deadline_us") {
-        opts.default_deadline_us = in.parse_int();
-      } else if (key == "start_paused") {
-        opts.start_paused = in.parse_bool();
-      } else if (key == "trace") {
-        opts.trace = in.parse_bool();
-      } else if (key == "flight_recorder") {
-        opts.flight_recorder = in.parse_bool();
-      } else if (key == "flight_capacity") {
-        opts.flight_capacity = static_cast<int>(in.parse_int());
-      } else if (key == "reject_burst") {
-        opts.reject_burst = static_cast<int>(in.parse_int());
-      } else if (key == "flight_dump_prefix") {
-        opts.flight_dump_prefix = in.parse_string();
-      } else if (key == "engine") {
-        opts.engine = nn::EngineConfig::from_json(in.capture_object());
-      } else if (key == "tenants") {
-        in.expect('[');
-        opts.tenants.clear();
-        if (in.peek() != ']') {
-          while (true) {
-            opts.tenants.push_back(TenantOptions::from_json(in.capture_object()));
-            const char c = in.peek();
-            if (c == ',') {
-              ++in.i;
-              continue;
-            }
-            if (c == ']') break;
-            in.fail(std::string("expected ',' or ']', got '") + c +
-                    "' at offset " + std::to_string(in.i));
-          }
-        }
-        in.expect(']');
-      } else {
-        in.fail("unknown key \"" + key + "\"");
-      }
-      const char c = in.peek();
-      if (c == ',') {
-        ++in.i;
-        continue;
-      }
-      if (c == '}') break;
-      in.fail(std::string("expected ',' or '}', got '") + c + "' at offset " +
-              std::to_string(in.i));
+  obs::json::Reader in(json, "ServerOptions::from_json");
+  in.object([&](const std::string& key) {
+    if (key == "workers") in.read(opts.workers);
+    else if (key == "session_threads") in.read(opts.session_threads);
+    else if (key == "max_batch") in.read(opts.max_batch);
+    else if (key == "max_delay_us") in.read(opts.max_delay_us);
+    else if (key == "queue_capacity") in.read(opts.queue_capacity);
+    else if (key == "queue_kind") opts.queue_kind = in.read_as(queue_kind_from_string);
+    else if (key == "default_deadline_us") in.read(opts.default_deadline_us);
+    else if (key == "start_paused") in.read(opts.start_paused);
+    else if (key == "trace") in.read(opts.trace);
+    else if (key == "flight_recorder") in.read(opts.flight_recorder);
+    else if (key == "flight_capacity") in.read(opts.flight_capacity);
+    else if (key == "reject_burst") in.read(opts.reject_burst);
+    else if (key == "flight_dump_prefix") in.read(opts.flight_dump_prefix);
+    else if (key == "engine") opts.engine = nn::EngineConfig::from_json(in);
+    else if (key == "tenants") {
+      opts.tenants.clear();
+      in.array([&] { opts.tenants.push_back(TenantOptions::from_json(in)); });
+    } else {
+      in.unknown_key();
     }
-  }
-  in.expect('}');
-  if (!in.at_end())
-    in.fail("trailing characters after object: '" +
-            std::string(json.substr(in.i)) + "'");
+  });
+  in.finish();
   return opts;
 }
 
@@ -1001,7 +959,7 @@ void Server::run_batch_(int worker, std::uint64_t batch_id,
     r.priority = req.priority;
     r.tenant = tenant_name;
     r.epoch = epoch;
-    r.queue_us = micros(t0 - req.enqueued);
+    r.queue_us = micros(req.popped - req.enqueued);
     r.run_us = run_us;
     if (!error.empty()) {
       r.status = Status::kError;

@@ -263,7 +263,7 @@ struct ServerOptions {
   void validate() const;
   /// JSON round-trip consistent with nn::EngineConfig — one flat object
   /// plus the nested "engine" object and "tenants" array. from_json errors
-  /// name the offending token.
+  /// name the offending token, key and offset.
   [[nodiscard]] std::string to_json() const;
   static ServerOptions from_json(std::string_view json);
 };

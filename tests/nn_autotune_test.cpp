@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "common/cpu_features.hpp"
@@ -68,6 +69,15 @@ TEST(Autotune, JsonRoundTripsExactly) {
                std::invalid_argument);
   EXPECT_THROW((void)TuneFile::from_json(tf.to_json() + "x"),
                std::invalid_argument);
+  // 3e9 is an integer but not an int: rejected naming the key, never cast.
+  try {
+    (void)TuneFile::from_json(R"({"best_tile": 3e9})");
+    ADD_FAILURE() << "best_tile = 3e9 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("\"best_tile\": 3e9 out of range"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Autotune, SaveAndLoadThroughDisk) {

@@ -88,7 +88,14 @@ TEST(EngineConfigJson, RejectsMalformedInputNamingTheOffender) {
   expect_rejects("{\"n_bits\":8", "end of input");
   expect_rejects("{\"n_bits\":8}trailing", "trailing");
   expect_rejects("{\"n_bits\":8 \"threads\":1}", ",");
-  expect_rejects("{\"kind\":\"fix\\u0065d\"}", "escape");
+  expect_rejects("{\"n_bits\":2147483648}", "\"n_bits\": 2147483648 out of range");
+}
+
+TEST(EngineConfigJson, DecodesStringEscapes) {
+  // "fixed" with its 'e' written as a unicode escape: the reader decodes
+  // every JSON escape before the value reaches the enum lookup.
+  EXPECT_EQ(EngineConfig::from_json("{\"kind\":\"fix\\u0065d\"}").kind,
+            EngineKind::kFixed);
 }
 
 TEST(EngineConfigJson, FromJsonDoesNotRangeCheckValidateDoes) {

@@ -61,6 +61,17 @@ TEST(TenantOptionsJson, ParseErrorsNameTheOffendingToken) {
   expect_parse_error<TenantOptions>("{\"name\":\"a\"}trail", "trailing");
   // Nested engine errors surface with EngineConfig's own token naming.
   expect_parse_error<TenantOptions>("{\"engine\":{\"nope\":1}}", "nope");
+  // 2^32 would wrap to 0 ("one shard per worker") through an int cast.
+  expect_parse_error<TenantOptions>("{\"shards\":4294967296}",
+                                    "\"shards\": 4294967296 out of range");
+}
+
+TEST(TenantOptionsJson, StringsThatNeedEscapingRoundTrip) {
+  TenantOptions opts;
+  opts.checkpoint = "models\\a.scnn";
+  const TenantOptions round = TenantOptions::from_json(opts.to_json());
+  EXPECT_EQ(round.checkpoint, "models\\a.scnn");
+  EXPECT_EQ(round.to_json(), opts.to_json());
 }
 
 TEST(TenantOptionsJson, ValidateNamesTheOffendingField) {
@@ -163,6 +174,20 @@ TEST(ServerOptionsJson, ParseErrorsNameTheOffendingToken) {
   expect_parse_error<ServerOptions>("{\"tenants\":[{\"shards\":true}]}",
                                     "expected an integer");
   expect_parse_error<ServerOptions>("{\"workers\":1}x", "trailing");
+  // Out-of-range integers name the key instead of wrapping through a cast
+  // (2^32 + 1 -> 1 worker, 2^32 -> a zero-capacity queue).
+  expect_parse_error<ServerOptions>("{\"workers\":4294967297}",
+                                    "\"workers\": 4294967297 out of range");
+  expect_parse_error<ServerOptions>("{\"queue_capacity\":4294967296}",
+                                    "\"queue_capacity\": 4294967296 out of range");
+}
+
+TEST(ServerOptionsJson, StringsThatNeedEscapingRoundTrip) {
+  ServerOptions opts;
+  opts.flight_dump_prefix = "dump\"x";
+  const ServerOptions round = ServerOptions::from_json(opts.to_json());
+  EXPECT_EQ(round.flight_dump_prefix, "dump\"x");
+  EXPECT_EQ(round.to_json(), opts.to_json());
 }
 
 TEST(ServerOptionsJson, ValidateCatchesDuplicateAndReservedTenantNames) {

@@ -234,6 +234,23 @@ TEST(Serve, MicroBatchesRespectMaxBatch) {
   EXPECT_LE(sizes.max, 4u);
 }
 
+TEST(Serve, QueueTimeEndsAtThePopNotAtTheForward) {
+  // A lone request in a batch of up to 4 waits out max_delay_us between
+  // its pop and the forward. queue_us ends at the pop (as documented and as
+  // the trace's "queue" span does), so that wait shows up in neither
+  // queue_us nor run_us: it is the gap total_us - queue_us - run_us.
+  ServerOptions opts = base_options();
+  opts.max_batch = 4;
+  opts.max_delay_us = 20'000;
+  Server server(make_server(opts));
+  const Response r = server.submit({.input = sample(0)}).get();
+  ASSERT_EQ(r.status, Status::kOk) << r.error;
+  EXPECT_EQ(r.batch_size, 1);
+  EXPECT_GE(r.total_us - r.queue_us - r.run_us, 15'000.0)
+      << "total_us " << r.total_us << ", queue_us " << r.queue_us
+      << ", run_us " << r.run_us;
+}
+
 TEST(Serve, ConcurrentSubmittersAllServedBitExactly) {
   ServerOptions opts = base_options();
   opts.workers = 2;
